@@ -35,6 +35,13 @@ go test -race -count=1 -run 'TestRunTracing' ./cluster
 echo "==> go test -race chaos suite"
 go test -race -count=1 -run 'Chaos|Failover|Health' ./server/... ./cluster/...
 
+# The VIA poll thread parks on the NIC's remote-write doorbell, and its
+# lost-wake-up edges (a remote write landing before the peer's setup
+# frame or promotion) race the receive thread by construction. Run the
+# transport, ring and doorbell suites uncached under the race detector.
+echo "==> go test -race VIA transport suite"
+go test -race -count=1 -run 'TestViaTransport|TestCtrlRing|TestFileRing|TestPollOnSequenceNumber|TestBridgeRDMAWrite|Doorbell' ./via ./server
+
 # The overload layer races admission, deadline expiry, and brownout
 # against the main loops at 2x saturation by design; run it uncached
 # under the race detector alongside the open-loop generator tests.

@@ -313,13 +313,15 @@ func (t *tcpTransport) meshAccept(conn net.Conn) {
 		reject(joinRejectStaleEpoch)
 		return
 	}
+	// Record the epoch before acking: a joiner that has read its ack
+	// must find its epoch installed.
+	casMax(&ms.peerEpoch[hello.Node], hello.Epoch)
 	ack := ms.info
 	ack.Ack, ack.OK = true, true
 	if err := writeJoinFrame(conn, t.self, &ack); err != nil {
 		conn.Close()
 		return
 	}
-	casMax(&ms.peerEpoch[hello.Node], hello.Epoch)
 	p := &tcpPeer{conn: conn, id: hello.Node, epoch: hello.Epoch}
 	if !t.setPeer(hello.Node, p) {
 		return // setPeer closed the conn

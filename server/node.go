@@ -851,7 +851,14 @@ func (n *Node) handleFileChunk(m *Message) {
 		// already failed over away from.
 		return
 	}
-	if p.buf == nil {
+	// A reply that arrives whole is adopted, not copied: every
+	// transport decodes into a freshly allocated buffer the message
+	// owns. A transport that starts reusing receive buffers must copy
+	// here instead.
+	whole := p.buf == nil && m.Offset == 0 && len(m.Data) == int(m.Total)
+	if whole {
+		p.buf = m.Data
+	} else if p.buf == nil {
 		p.buf = make([]byte, m.Total)
 	}
 	if int(m.Offset)+len(m.Data) > len(p.buf) {
@@ -869,7 +876,9 @@ func (n *Node) handleFileChunk(m *Message) {
 		p.req.resp <- clientResult{err: fmt.Errorf("server: corrupt file reply")}
 		return
 	}
-	copy(p.buf[m.Offset:], m.Data)
+	if !whole {
+		copy(p.buf[m.Offset:], m.Data)
+	}
 	p.received += len(m.Data)
 	if p.received < int(m.Total) {
 		return

@@ -50,13 +50,13 @@ func (t *viaTransport) recvThread() {
 // in the window between Accept/Connect and promotion. Frames on a
 // retired VI find neither and are dropped.
 func (t *viaTransport) peerByVI(vi *via.VI) *viaPeer {
-	t.peersMu.RLock()
-	defer t.peersMu.RUnlock()
-	for _, p := range t.peers {
+	for _, p := range *t.peers.Load() {
 		if p != nil && p.vi == vi {
 			return p
 		}
 	}
+	t.peersMu.RLock()
+	defer t.peersMu.RUnlock()
 	return t.pending[vi]
 }
 
@@ -200,46 +200,60 @@ func (t *viaTransport) handleSetup(p *viaPeer, frame []byte) {
 	default:
 	}
 	p.readyOnce.Do(func() { close(p.ready) })
+	// The peer may have remote-written into our rings before this frame
+	// was processed; the poll pass its doorbell caused skipped a peer
+	// that was not ready yet.
+	t.wake()
 }
 
 // pollThread is the main loop's polling duty factored into its own
-// goroutine: at the end of each iteration it checks the sequence
-// numbers of every peer's control and file rings and the flow counters
-// peers remote-write into our memory. Remote memory writes require no
-// interrupt and no receive thread (Section 2.2).
+// goroutine: it checks the sequence numbers of every peer's control and
+// file rings and the flow counters peers remote-write into our memory,
+// pass after pass while passes find work. When a pass finds nothing it
+// parks on the NIC's remote-write doorbell, or on the kick that
+// announces a peer becoming pollable. Remote memory writes still
+// require no interrupt and no receive thread (Section 2.2): the
+// doorbell only says that memory changed, not what arrived.
 func (t *viaTransport) pollThread() {
 	defer t.wg.Done()
-	idle := 0
+	doorbell := t.nic.RemoteWrites()
 	for {
 		select {
 		case <-t.done:
 			return
 		default:
 		}
-		progressed := false
-		for _, p := range t.peerList() {
-			if p == nil {
-				continue
-			}
-			select {
-			case <-p.ready:
-			default:
-				continue // setup not complete yet
-			}
-			if t.pollPeer(p) {
-				progressed = true
-			}
-		}
-		if progressed {
-			idle = 0
+		if t.pollPass() {
 			continue
 		}
-		idle++
-		if idle > 64 {
-			//presslint:ignore naked-sleep bounded backoff after 64 empty polls; caps busy-wait burn, not a modeled latency
-			time.Sleep(50 * time.Microsecond)
+		select {
+		case <-doorbell:
+		case <-t.kick:
+		case <-t.done:
+			return
 		}
 	}
+}
+
+// pollPass scans every ready peer once and reports whether any ring
+// delivered a message.
+func (t *viaTransport) pollPass() bool {
+	t.pollPasses.Add(1)
+	progressed := false
+	for _, p := range *t.peers.Load() {
+		if p == nil {
+			continue
+		}
+		select {
+		case <-p.ready:
+		default:
+			continue // setup not complete yet
+		}
+		if t.pollPeer(p) {
+			progressed = true
+		}
+	}
+	return progressed
 }
 
 func (t *viaTransport) pollPeer(p *viaPeer) bool {

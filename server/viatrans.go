@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"press/core"
@@ -33,14 +34,23 @@ type viaTransport struct {
 	// re-registers.
 	addrs []string
 
-	// peersMu guards the peer table. peers[i] is the live channel to
-	// node i and is replaced wholesale on reconnect; pending holds peers
-	// whose VI exists (receives posted, setup expected) but which have
-	// not been promoted into the table yet, so the receive thread can
-	// route their frames.
+	// peers is the live peer table as an immutable snapshot: (*peers)[i]
+	// is the channel to node i. Readers load it without locking; writers
+	// publish a modified copy under peersMu, so a reconnect replaces one
+	// entry without disturbing a poll pass already iterating the old
+	// table. pending, guarded by peersMu, holds peers whose VI exists
+	// (receives posted, setup expected) but which have not been promoted
+	// into the table yet, so the receive thread can route their frames.
 	peersMu sync.RWMutex
-	peers   []*viaPeer
+	peers   atomic.Pointer[[]*viaPeer]
 	pending map[*via.VI]*viaPeer
+
+	// kick wakes the poll thread for changes no remote write announces:
+	// a peer becoming ready or entering the live table. Capacity 1, rung
+	// without blocking.
+	kick chan struct{}
+	// pollPasses counts the poll thread's scans over the peer table.
+	pollPasses atomic.Int64
 
 	reconnects *metrics.Counter
 
@@ -128,10 +138,12 @@ func newViaTransport(nic *via.NIC, cfg viaConfig) (*viaTransport, error) {
 		nic:     nic,
 		inbound: make(chan *Message, 1024),
 		done:    make(chan struct{}),
-		peers:   make([]*viaPeer, cfg.nodes),
 		pending: make(map[*via.VI]*viaPeer),
+		kick:    make(chan struct{}, 1),
 		ins:     newTransportInstruments(cfg.metrics, cfg.self),
 	}
+	peers := make([]*viaPeer, cfg.nodes)
+	t.peers.Store(&peers)
 	if cfg.metrics.Enabled() {
 		t.reconnects = cfg.metrics.Counter("press_reconnects_total", fmt.Sprintf("node=%d", cfg.self))
 	} else {
@@ -257,28 +269,35 @@ func (t *viaTransport) connect(addrs []string) error {
 // setPeer installs the live channel for node id.
 func (t *viaTransport) setPeer(id int, p *viaPeer) {
 	t.peersMu.Lock()
-	t.peers[id] = p
+	t.publishPeer(id, p)
 	t.peersMu.Unlock()
+}
+
+// publishPeer stores a copy of the peer table with entry id replaced
+// and returns the entry it displaced. Caller holds peersMu.
+func (t *viaTransport) publishPeer(id int, p *viaPeer) *viaPeer {
+	peers := append([]*viaPeer(nil), *t.peers.Load()...)
+	old := peers[id]
+	peers[id] = p
+	t.peers.Store(&peers)
+	return old
 }
 
 // peer returns the live channel to node dst, nil if none.
 func (t *viaTransport) peer(dst int) *viaPeer {
-	t.peersMu.RLock()
-	defer t.peersMu.RUnlock()
-	if dst < 0 || dst >= len(t.peers) {
+	peers := *t.peers.Load()
+	if dst < 0 || dst >= len(peers) {
 		return nil
 	}
-	return t.peers[dst]
+	return peers[dst]
 }
 
-// peerList snapshots the live peer table for iteration without holding
-// the lock across per-peer work.
-func (t *viaTransport) peerList() []*viaPeer {
-	t.peersMu.RLock()
-	defer t.peersMu.RUnlock()
-	out := make([]*viaPeer, len(t.peers))
-	copy(out, t.peers)
-	return out
+// wake rings the poll thread's kick without blocking.
+func (t *viaTransport) wake() {
+	select {
+	case t.kick <- struct{}{}:
+	default:
+	}
 }
 
 func (t *viaTransport) addPending(p *viaPeer) {
@@ -298,10 +317,12 @@ func (t *viaTransport) removePending(p *viaPeer) {
 // closes, and its registered memory is released.
 func (t *viaTransport) promote(p *viaPeer) {
 	t.peersMu.Lock()
-	old := t.peers[p.id]
-	t.peers[p.id] = p
+	old := t.publishPeer(p.id, p)
 	delete(t.pending, p.vi)
 	t.peersMu.Unlock()
+	// A ready peer fresh out of pending may have rings the poll thread
+	// skipped while it was not in the table.
+	t.wake()
 	if old != nil && old != p {
 		old.fail(fmt.Errorf("%w: node %d", errSuperseded, p.id))
 		t.retirePeer(old)
@@ -838,8 +859,9 @@ func (t *viaTransport) Close() error {
 	t.closeOnce.Do(func() {
 		close(t.done)
 		t.peersMu.RLock()
-		all := make([]*viaPeer, 0, len(t.peers)+len(t.pending))
-		for _, p := range t.peers {
+		peers := *t.peers.Load()
+		all := make([]*viaPeer, 0, len(peers)+len(t.pending))
+		for _, p := range peers {
 			if p != nil {
 				all = append(all, p)
 			}

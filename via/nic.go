@@ -88,6 +88,9 @@ type NIC struct {
 	work chan workItem
 	done chan struct{}
 
+	// remoteWrites is the remote-write doorbell (see RemoteWrites).
+	remoteWrites chan struct{}
+
 	m nicMetrics
 }
 
@@ -140,6 +143,8 @@ func newNIC(f *Fabric, addr string, opts ...NICOption) *NIC {
 		work:      make(chan workItem, cfg.workDepth),
 		done:      make(chan struct{}),
 		m:         newNICMetrics(f.metrics, addr),
+
+		remoteWrites: make(chan struct{}, 1),
 	}
 	go n.engine()
 	return n
@@ -427,8 +432,26 @@ func (n *NIC) deliverRDMA(h Handle, off int, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: unknown handle %d", ErrProtection, h)
 	}
-	return r.rdmaWrite(payload, off)
+	if err := r.rdmaWrite(payload, off); err != nil {
+		return err
+	}
+	select {
+	case n.remoteWrites <- struct{}{}:
+	default: // already rung; the poller has not looked yet
+	}
+	return nil
 }
+
+// RemoteWrites is the NIC's remote-write doorbell. It becomes readable
+// after a remote memory write lands in one of this NIC's regions; a
+// write that fails its protection checks does not ring it. The bell
+// holds a single token, so any number of writes between two receives
+// ring it once, and it serves one poller per NIC: the process's
+// polling loop drains it, scans its buffers' sequence numbers, and
+// parks on it again only after a scan finds nothing new. The doorbell
+// only says "look"; what arrived is still read from memory, so remote
+// writes stay free of receive descriptors and completions.
+func (n *NIC) RemoteWrites() <-chan struct{} { return n.remoteWrites }
 
 // Close shuts the NIC down: the engine stops, pending descriptors and
 // connections complete with ErrClosed.

@@ -179,20 +179,24 @@ func TestBridgeRDMAWrite(t *testing.T) {
 		t.Fatalf("rdma: %v", err)
 	}
 	// RDMA consumes no receive descriptor and raises no completion at
-	// the target; poll the memory like the RMW load protocol does.
-	deadline := time.Now().Add(testTimeout)
+	// the target; each bridged fragment rings B's doorbell as it lands,
+	// so park on the bell and re-check the memory, like the RMW poll
+	// loop does.
+	deadline := time.NewTimer(testTimeout)
+	defer deadline.Stop()
 	got := make([]byte, len(payload))
 	for {
+		select {
+		case <-p.nb.RemoteWrites():
+		case <-deadline.C:
+			t.Fatal("bridged remote write did not ring the receiving NIC's doorbell with the full payload")
+		}
 		if err := dreg.Read(got, 4096); err != nil {
 			t.Fatal(err)
 		}
 		if bytes.Equal(got, payload) {
 			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("remote write did not land in time")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -13,7 +13,9 @@
 //   - completion queues (CQs) combining completions of many VIs;
 //   - remote memory writes (RDMA writes) into registered remote
 //     regions, with no remote-processor involvement — receivers poll
-//     the region, as PRESS does with its circular buffers;
+//     the region, as PRESS does with its circular buffers, and may
+//     park between scans on the NIC's remote-write doorbell
+//     (NIC.RemoteWrites);
 //   - two reliability levels: unreliable delivery (messages may be
 //     dropped) and reliable delivery (exactly once, in order, errors
 //     reported).

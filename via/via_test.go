@@ -325,6 +325,96 @@ func TestRDMAWriteUnknownHandle(t *testing.T) {
 	}
 }
 
+// rung reports whether the NIC's remote-write doorbell holds a token,
+// consuming it.
+func rung(n *NIC) bool {
+	select {
+	case <-n.RemoteWrites():
+		return true
+	default:
+		return false
+	}
+}
+
+func TestRDMAWriteRingsDoorbell(t *testing.T) {
+	_, na, nb, va, _ := pair(t, ReliableDelivery)
+	rreg, _ := nb.RegisterMemory(make([]byte, 64))
+	rreg.EnableRemoteWrite()
+	local, _ := na.RegisterMemory([]byte("seq!"))
+
+	if rung(nb) {
+		t.Fatal("doorbell rung before any remote write")
+	}
+	// Three writes before the poller looks ring the bell once.
+	for i := 0; i < 3; i++ {
+		d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 4})
+		if err := va.PostRDMAWrite(d, rreg.Handle(), 4*i); err != nil {
+			t.Fatal(err)
+		}
+		// The write lands before its descriptor completes, so the bell
+		// is already rung when Wait returns.
+		if err := d.Wait(testTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !rung(nb) {
+		t.Fatal("successful remote write did not ring the target's doorbell")
+	}
+	if rung(nb) {
+		t.Fatal("doorbell holds more than one token")
+	}
+	if rung(na) {
+		t.Fatal("remote write rang the writer's own doorbell")
+	}
+}
+
+func TestRDMAWriteFaultDoesNotRingDoorbell(t *testing.T) {
+	cases := []struct {
+		name  string
+		write func(na, nb *NIC, va *VI) *Descriptor
+	}{
+		{"protection", func(na, nb *NIC, va *VI) *Descriptor {
+			rreg, _ := nb.RegisterMemory(make([]byte, 16)) // remote write not enabled
+			local, _ := na.RegisterMemory([]byte("data"))
+			d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 4})
+			if err := va.PostRDMAWrite(d, rreg.Handle(), 0); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+		{"out-of-bounds", func(na, nb *NIC, va *VI) *Descriptor {
+			rreg, _ := nb.RegisterMemory(make([]byte, 8))
+			rreg.EnableRemoteWrite()
+			local, _ := na.RegisterMemory([]byte("0123456789"))
+			d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 10})
+			if err := va.PostRDMAWrite(d, rreg.Handle(), 4); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+		{"unknown-handle", func(na, nb *NIC, va *VI) *Descriptor {
+			local, _ := na.RegisterMemory([]byte("data"))
+			d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 4})
+			if err := va.PostRDMAWrite(d, Handle(9999), 0); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, na, nb, va, _ := pair(t, ReliableDelivery)
+			d := c.write(na, nb, va)
+			if err := d.Wait(testTimeout); !errors.Is(err, ErrProtection) {
+				t.Fatalf("faulting write: %v", err)
+			}
+			if rung(nb) {
+				t.Fatal("failed remote write rang the doorbell")
+			}
+		})
+	}
+}
+
 func TestPollOnSequenceNumber(t *testing.T) {
 	// The PRESS pattern: RDMA-write a payload then its sequence number;
 	// the receiver polls the sequence word and then reads the payload.
